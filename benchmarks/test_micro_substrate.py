@@ -35,6 +35,19 @@ def test_parse_elf_bench(benchmark, spec):
     assert len(elf.dynamic.needed) == 9
 
 
+def test_read_elf_miss_bench(benchmark, paper_sites):
+    """A parse-cache miss on a multi-megabyte lazy library: parses the
+    payload-free skeleton, so no ``.text`` payload is synthesised."""
+    machine = next(s for s in paper_sites if s.name == "fir").machine
+    path = "/lib64/libc.so.6"
+    assert machine.fs.size(machine.fs.realpath(path)) > 1_000_000
+
+    elf = benchmark.pedantic(
+        machine.read_elf, args=(path,),
+        setup=machine._elf_cache.clear, rounds=50)
+    assert elf.dynamic.soname == "libc.so.6"
+
+
 def test_loader_resolve_bench(benchmark, paper_sites):
     fir = next(s for s in paper_sites if s.name == "fir")
     stack = fir.find_stack("openmpi-1.4-intel")

@@ -11,6 +11,11 @@ libraries that populate the simulated sites, so FEAM's analysis pipeline
 (our objdump/readelf/ldd equivalents) parses *genuine on-disk ELF
 structures*, not a side-channel description.  Images round-trip through
 :mod:`repro.elf.reader` and are recognisable by real binutils.
+
+:func:`elf_layout` computes everything but the ``.text`` payload, which is
+all a metadata reader needs; :class:`LazyElfImage` is the lazy file
+provider installed libraries use, serving full images to byte readers and
+payload-free skeletons to ELF parses.
 """
 
 from __future__ import annotations
@@ -28,8 +33,12 @@ from repro.elf.constants import (
     SHF_ALLOC,
     SHF_EXECINSTR,
     SHF_WRITE,
+    SHN_UNDEF,
+    STB_GLOBAL,
+    STT_FUNC,
     VER_DEF_CURRENT,
     VER_FLG_BASE,
+    VER_NDX_GLOBAL,
     VER_NEED_CURRENT,
     DynamicTag,
     ElfClass,
@@ -111,9 +120,10 @@ class _StringTable:
 def _payload_bytes(spec: BinarySpec) -> bytes:
     """Deterministic pseudo-code payload; varies with the spec contents.
 
-    Uses a seeded PCG64 stream (vectorized -- payloads are generated lazily
-    every time a simulated site reads a binary, so this is on the hot path
-    for multi-megabyte library files).
+    Uses a seeded PCG64 stream (vectorized -- multi-megabyte library
+    payloads are generated whenever a simulated site reads a library's
+    bytes: library copies and bundles).  Metadata readers never need it:
+    they parse the payload-free :meth:`ElfLayout.skeleton`.
     """
     if spec.payload_size == 0:
         return b""
@@ -127,8 +137,71 @@ def _payload_bytes(spec: BinarySpec) -> bytes:
     return np.random.Generator(np.random.PCG64(seed)).bytes(spec.payload_size)
 
 
-def write_elf(spec: BinarySpec) -> bytes:
-    """Serialize *spec* into a valid ELF image.
+@dataclasses.dataclass
+class _Sec:
+    """One section-header table entry, before serialisation."""
+
+    name: str
+    sh_type: int
+    flags: int
+    offset: int
+    size: int
+    link: int = 0
+    info: int = 0
+    addralign: int = 1
+    entsize: int = 0
+
+
+def _align(offset: int, align: int) -> int:
+    return (offset + align - 1) // align * align
+
+
+@dataclasses.dataclass(frozen=True)
+class ElfLayout:
+    """The image of a :class:`BinarySpec` with its ``.text`` payload left out.
+
+    ``head`` is every byte before ``.text`` (ELF header, program headers,
+    alignment padding) and ``tail`` every byte after it (the metadata
+    sections and the section-header table).  A layout depends on the
+    payload's *size* only, never on its bytes.
+    """
+
+    head: bytes
+    text_size: int
+    tail: bytes
+
+    @property
+    def text_offset(self) -> int:
+        return len(self.head)
+
+    @property
+    def size(self) -> int:
+        """File size of the image."""
+        return len(self.head) + self.text_size + len(self.tail)
+
+    def image(self, payload: bytes) -> bytes:
+        """The file bytes with *payload* placed as ``.text``."""
+        if len(payload) != self.text_size:
+            raise ValueError(f"payload is {len(payload)} bytes; the layout "
+                             f"holds {self.text_size}")
+        return b"".join((self.head, payload, self.tail))
+
+    def skeleton(self) -> bytearray:
+        """The file bytes with ``.text`` left zero, in a fresh buffer.
+
+        Identical to the full image everywhere outside ``.text``, so every
+        metadata reader (header, ``.dynamic``, version sections, symbols,
+        ``.comment``) parses it exactly as it parses the full image.  Built
+        in place: one zeroed allocation, no payload-sized temporary.
+        """
+        image = bytearray(self.size)
+        image[:len(self.head)] = self.head
+        image[len(self.head) + self.text_size:] = self.tail
+        return image
+
+
+def elf_layout(spec: BinarySpec) -> ElfLayout:
+    """Lay out *spec*: offsets, section table and every non-``.text`` byte.
 
     The layout is sequential: header, program headers, ``.text``,
     ``.dynstr``, version sections, ``.dynamic``, ``.comment``,
@@ -184,8 +257,6 @@ def write_elf(spec: BinarySpec) -> bytes:
 
     # -- build the variable-size section bodies ------------------------------
 
-    payload = _payload_bytes(spec)
-
     verneed_body = b""
     if verneed_items:
         need_fmt = prefix + "HHIII"
@@ -226,12 +297,6 @@ def write_elf(spec: BinarySpec) -> bytes:
     versym_body = b""
     sym_entsize = 24 if is64 else 16
     if symbol_items:
-        from repro.elf.constants import (
-            SHN_UNDEF,
-            STB_GLOBAL,
-            STT_FUNC,
-            VER_NDX_GLOBAL,
-        )
         st_info = (STB_GLOBAL << 4) | STT_FUNC
         sym_parts = [b"\x00" * sym_entsize]  # the mandatory null symbol
         ver_parts = [struct.pack(prefix + "H", 0)]
@@ -264,24 +329,24 @@ def write_elf(spec: BinarySpec) -> bytes:
         c.encode("utf-8") + b"\x00" for c in spec.comment)
 
     # -- layout ---------------------------------------------------------------
+    # Everything after .text is appended to *tail* as it is placed.
 
     phnum = 2 if dynamic else 1
-    offset = ehsize + phnum * phentsize
+    text_off = _align(ehsize + phnum * phentsize, 16)
+    text_end = text_off + spec.payload_size
+    tail = bytearray()
 
-    def place(size: int, align: int = 8) -> int:
-        nonlocal offset
-        if align > 1:
-            offset = (offset + align - 1) // align * align
-        start = offset
-        offset += size
+    def place(body: bytes, align: int = 8) -> int:
+        start = _align(text_end + len(tail), align)
+        tail.extend(bytes(start - text_end - len(tail)))
+        tail.extend(body)
         return start
 
-    text_off = place(len(payload), 16)
-    dynstr_off = place(len(dynstr_bytes), 1) if dynamic else 0
-    dynsym_off = place(len(dynsym_body), 8) if dynsym_body else 0
-    versym_off = place(len(versym_body), 2) if versym_body else 0
-    verneed_off = place(len(verneed_body), 8) if verneed_body else 0
-    verdef_off = place(len(verdef_body), 8) if verdef_body else 0
+    dynstr_off = place(dynstr_bytes, 1) if dynamic else 0
+    dynsym_off = place(dynsym_body, 8) if dynsym_body else 0
+    versym_off = place(versym_body, 2) if versym_body else 0
+    verneed_off = place(verneed_body, 8) if verneed_body else 0
+    verdef_off = place(verdef_body, 8) if verdef_body else 0
 
     # Dynamic entries (built after we know the section addresses).
     dyn_entries: list[tuple[int, int]] = []
@@ -309,31 +374,17 @@ def write_elf(spec: BinarySpec) -> bytes:
         dyn_entries.append((DynamicTag.NULL, 0))
     dynamic_body = b"".join(
         struct.pack(dyn_fmt, tag, value) for tag, value in dyn_entries)
-    dynamic_off = place(len(dynamic_body), 8) if dynamic else 0
+    dynamic_off = place(dynamic_body, 8) if dynamic else 0
 
-    comment_off = place(len(comment_body), 1) if comment_body else 0
+    comment_off = place(comment_body, 1) if comment_body else 0
 
     # -- section table --------------------------------------------------------
 
-    @dataclasses.dataclass
-    class _Sec:
-        name: str
-        sh_type: int
-        flags: int
-        offset: int
-        size: int
-        link: int = 0
-        info: int = 0
-        addralign: int = 1
-        entsize: int = 0
-        addr_is_offset: bool = True
-
-    sections: list[_Sec] = [
-        _Sec("", SectionType.NULL, 0, 0, 0, addr_is_offset=False)]
+    sections: list[_Sec] = [_Sec("", SectionType.NULL, 0, 0, 0)]
     sections.append(_Sec(".text", SectionType.PROGBITS,
-                         SHF_ALLOC | SHF_EXECINSTR, text_off, len(payload),
-                         addralign=16))
-    dynstr_index = verneed_index = verdef_index = None
+                         SHF_ALLOC | SHF_EXECINSTR, text_off,
+                         spec.payload_size, addralign=16))
+    dynstr_index = None
     if dynamic:
         dynstr_index = len(sections)
         sections.append(_Sec(".dynstr", SectionType.STRTAB, SHF_ALLOC,
@@ -349,13 +400,11 @@ def write_elf(spec: BinarySpec) -> bytes:
                 versym_off, len(versym_body), link=dynsym_index,
                 addralign=2, entsize=2))
         if verneed_body:
-            verneed_index = len(sections)
             sections.append(_Sec(
                 ".gnu.version_r", SectionType.GNU_VERNEED, SHF_ALLOC,
                 verneed_off, len(verneed_body), link=dynstr_index,
                 info=len(verneed_items), addralign=8))
         if verdef_body:
-            verdef_index = len(sections)
             sections.append(_Sec(
                 ".gnu.version_d", SectionType.GNU_VERDEF, SHF_ALLOC,
                 verdef_off, len(verdef_body), link=dynstr_index,
@@ -366,33 +415,34 @@ def write_elf(spec: BinarySpec) -> bytes:
             addralign=8, entsize=dyn_entsize))
     if comment_body:
         sections.append(_Sec(".comment", SectionType.PROGBITS, 0,
-                             comment_off, len(comment_body),
-                             addr_is_offset=False))
+                             comment_off, len(comment_body)))
 
     for sec in sections:
         shstr.add(sec.name)
-    shstrtab_name_added = shstr.add(".shstrtab")
-    del shstrtab_name_added
+    shstr.add(".shstrtab")
     shstrtab_bytes = shstr.bytes()
-    shstrtab_off = place(len(shstrtab_bytes), 1)
+    shstrtab_off = place(shstrtab_bytes, 1)
     shstrndx = len(sections)
     sections.append(_Sec(".shstrtab", SectionType.STRTAB, 0,
-                         shstrtab_off, len(shstrtab_bytes),
-                         addr_is_offset=False))
+                         shstrtab_off, len(shstrtab_bytes)))
 
-    shoff = place(len(sections) * shentsize, 8)
-    file_size = offset
+    shdr_fmt = prefix + ("IIQQQQIIQQ" if is64 else "IIIIIIIIII")
+    shoff = place(b"".join(
+        struct.pack(shdr_fmt, shstr.add(sec.name), int(sec.sh_type),
+                    sec.flags, sec.offset if sec.flags & SHF_ALLOC else 0,
+                    sec.offset, sec.size, sec.link, sec.info,
+                    sec.addralign, sec.entsize)
+        for sec in sections), 8)
+    file_size = text_end + len(tail)
 
-    # -- serialize ------------------------------------------------------------
+    # -- file header and program headers -------------------------------------
 
-    image = bytearray(file_size)
-
-    ident = bytearray(EI_NIDENT)
-    ident[:4] = ELF_MAGIC
-    ident[4] = int(spec.elf_class)
-    ident[5] = int(spec.data)
-    ident[6] = 1  # EV_CURRENT
-    ident[7] = 0  # ELFOSABI_NONE (System V)
+    head = bytearray(text_off)
+    head[:4] = ELF_MAGIC
+    head[4] = int(spec.elf_class)
+    head[5] = int(spec.data)
+    head[6] = 1  # EV_CURRENT
+    head[7] = 0  # ELFOSABI_NONE (System V)
 
     if is64:
         hdr_fmt = prefix + "HHIQQQIHHHHHH"
@@ -403,10 +453,8 @@ def write_elf(spec: BinarySpec) -> bytes:
         hdr_fmt, int(spec.etype), int(spec.machine), 1, entry,
         ehsize, shoff, 0, ehsize, phentsize, phnum, shentsize,
         len(sections), shstrndx)
-    image[:EI_NIDENT] = ident
-    image[EI_NIDENT:EI_NIDENT + len(header)] = header
+    head[EI_NIDENT:EI_NIDENT + len(header)] = header
 
-    # Program headers.
     def pack_phdr(p_type: int, flags: int, seg_off: int, size: int,
                   align: int) -> bytes:
         if is64:
@@ -419,38 +467,34 @@ def write_elf(spec: BinarySpec) -> bytes:
     if dynamic:
         ph_blob += pack_phdr(SegmentType.DYNAMIC, PF_R | PF_W,
                              dynamic_off, len(dynamic_body), 8)
-    image[ehsize:ehsize + len(ph_blob)] = ph_blob
+    head[ehsize:ehsize + len(ph_blob)] = ph_blob
 
-    # Section bodies.
-    image[text_off:text_off + len(payload)] = payload
-    if dynamic:
-        image[dynstr_off:dynstr_off + len(dynstr_bytes)] = dynstr_bytes
-        if dynsym_body:
-            image[dynsym_off:dynsym_off + len(dynsym_body)] = dynsym_body
-            image[versym_off:versym_off + len(versym_body)] = versym_body
-        if verneed_body:
-            image[verneed_off:verneed_off + len(verneed_body)] = verneed_body
-        if verdef_body:
-            image[verdef_off:verdef_off + len(verdef_body)] = verdef_body
-        image[dynamic_off:dynamic_off + len(dynamic_body)] = dynamic_body
-    if comment_body:
-        image[comment_off:comment_off + len(comment_body)] = comment_body
-    image[shstrtab_off:shstrtab_off + len(shstrtab_bytes)] = shstrtab_bytes
+    return ElfLayout(head=bytes(head), text_size=spec.payload_size,
+                     tail=bytes(tail))
 
-    # Section headers.
-    blob = bytearray()
-    for sec in sections:
-        addr = sec.offset if (sec.flags & SHF_ALLOC) else 0
-        if is64:
-            blob += struct.pack(
-                prefix + "IIQQQQIIQQ", shstr.add(sec.name), int(sec.sh_type),
-                sec.flags, addr, sec.offset, sec.size, sec.link, sec.info,
-                sec.addralign, sec.entsize)
-        else:
-            blob += struct.pack(
-                prefix + "IIIIIIIIII", shstr.add(sec.name), int(sec.sh_type),
-                sec.flags, addr, sec.offset, sec.size, sec.link, sec.info,
-                sec.addralign, sec.entsize)
-    image[shoff:shoff + len(blob)] = blob
 
-    return bytes(image)
+def write_elf(spec: BinarySpec) -> bytes:
+    """Serialize *spec* into a valid ELF image: its layout plus the payload."""
+    return elf_layout(spec).image(_payload_bytes(spec))
+
+
+class LazyElfImage:
+    """A lazy file provider for the image of one :class:`BinarySpec`.
+
+    Calling it returns the full image (:func:`write_elf`); :attr:`size`
+    comes from the layout, and :meth:`skeleton` returns the image with its
+    ``.text`` payload left zero, without synthesising the payload.  Nothing
+    is memoised: only the spec stays resident.
+    """
+
+    __slots__ = ("spec", "size")
+
+    def __init__(self, spec: BinarySpec) -> None:
+        self.spec = spec
+        self.size = elf_layout(spec).size
+
+    def __call__(self) -> bytes:
+        return write_elf(self.spec)
+
+    def skeleton(self) -> bytes:
+        return elf_layout(self.spec).skeleton()

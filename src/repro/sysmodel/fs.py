@@ -5,9 +5,13 @@ symbolic links, absolute paths, mode bits, and lazy file contents.
 
 Lazy contents matter because simulated sites hold hundreds of multi-megabyte
 ELF libraries; a :class:`FileNode` may carry a ``provider`` callable instead
-of inline bytes, in which case the bytes are regenerated on every
-:meth:`VirtualFilesystem.read` (deterministically -- see
-:func:`repro.elf.writer._payload_bytes`) and only the size is kept resident.
+of inline bytes, and only the size is kept resident.  Payload bytes are
+generated (deterministically -- see :func:`repro.elf.writer._payload_bytes`)
+only for byte readers, on every :meth:`VirtualFilesystem.read`.  A provider
+may also offer ``skeleton()``: the same bytes with the bulk payload left
+zero, which :meth:`VirtualFilesystem.read_skeleton` serves to metadata
+readers such as the ELF parse cache
+(:meth:`repro.sysmodel.machine.Machine.read_elf`).
 
 Path semantics: paths are absolute, ``/``-separated, normalised with
 ``.``/``..`` components resolved lexically *after* symlink traversal of the
@@ -45,11 +49,14 @@ class FileNode:
             self.content = b""
             self.size = 0
 
-    def read(self) -> bytes:
+    def read(self, skeleton: bool = False) -> bytes:
+        """The file's bytes; with *skeleton*, a provider's payload-free
+        ``skeleton()`` when it offers one."""
         if self.content is not None:
             return self.content
         assert self.provider is not None
-        data = self.provider()
+        make = getattr(self.provider, "skeleton", None) if skeleton else None
+        data = make() if make is not None else self.provider()
         if len(data) != self.size:
             raise FsError(
                 f"lazy provider produced {len(data)} bytes, expected {self.size}")
@@ -200,10 +207,24 @@ class VirtualFilesystem:
         return isinstance(node, FileNode) and node.executable
 
     def read(self, path: str) -> bytes:
+        return self._read(path, skeleton=False)
+
+    def read_skeleton(self, path: str) -> bytes:
+        """What :meth:`read` returns, except that a lazy file's bulk payload
+        may be left zero (see the module docstring).
+
+        For readers of metadata only -- an ELF parse never looks at
+        ``.text``.  The bytes pass through :attr:`fault_hook` exactly as a
+        :meth:`read` would, so an armed fault plan sees the same path and
+        the same header bytes.
+        """
+        return self._read(path, skeleton=True)
+
+    def _read(self, path: str, skeleton: bool) -> bytes:
         node = self._lookup(path)
         if not isinstance(node, FileNode):
             raise FsError(f"not a regular file: {path!r}")
-        data = node.read()
+        data = node.read(skeleton)
         if self.fault_hook is not None:
             data = self.fault_hook(path, data)
         return data

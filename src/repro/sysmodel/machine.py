@@ -84,17 +84,20 @@ class Machine:
     def read_elf(self, path: str):
         """Parse the ELF file at *path*, caching the (detached) result.
 
-        Lazy library files regenerate their bytes on every read; caching
-        the parse keeps loader resolution fast.  The returned
-        :class:`~repro.elf.reader.ElfFile` has its raw image dropped --
-        callers needing bytes must read the filesystem directly.
+        A miss parses the file's skeleton
+        (:meth:`~repro.sysmodel.fs.VirtualFilesystem.read_skeleton`): a lazy
+        library's layout with its ``.text`` payload left zero, so no
+        payload is synthesised to read metadata.  Payload bytes are only
+        generated for byte readers (library copies, bundles, executables).
+        The returned :class:`~repro.elf.reader.ElfFile` has its raw image
+        dropped -- callers needing bytes must read the filesystem directly.
         """
         real = self.fs.realpath(path)
         size = self.fs.size(real)
         cached = self._elf_cache.get(real)
         if cached is not None and cached[0] == size:
             return cached[1]
-        elf = parse_elf(self.fs.read(real)).detach()
+        elf = parse_elf(self.fs.read_skeleton(real)).detach()
         self._elf_cache[real] = (size, elf)
         return elf
 

@@ -1,8 +1,9 @@
 """Property-based tests: writer/reader round-trip over arbitrary specs."""
 
+import dataclasses
 import string
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.elf import (
     BinarySpec,
@@ -15,6 +16,7 @@ from repro.elf import (
     write_elf,
 )
 from repro.elf.constants import elf_hash
+from repro.elf.writer import LazyElfImage, elf_layout
 
 _name_alphabet = string.ascii_lowercase + string.digits + "_-+"
 
@@ -65,8 +67,6 @@ _symbol_names = st.text(_name_alphabet, min_size=1, max_size=12)
 @st.composite
 def specs_with_symbols(draw):
     """Specs whose symbols reference only declared versions."""
-    import dataclasses
-
     from repro.elf.structs import DynamicSymbol
 
     spec = draw(specs())
@@ -148,3 +148,83 @@ def test_elf_hash_known_values():
     # Known SysV hash values used by real glibc version tables.
     assert elf_hash("GLIBC_2.5") == 0x0D696915
     assert elf_hash("") == 0
+
+
+# -- layout and skeleton ------------------------------------------------------
+
+def _static(spec: BinarySpec) -> BinarySpec:
+    return dataclasses.replace(spec, statically_linked=True, needed=(),
+                               soname=None, symbols=())
+
+
+def layout_specs():
+    """Every spec shape the writer handles: with and without symbols,
+    statically linked, and with an empty payload (ELF32 and big-endian
+    come from :func:`specs`)."""
+    return st.one_of(
+        specs_with_symbols(),
+        specs(),
+        specs().map(_static),
+        specs_with_symbols().map(
+            lambda s: dataclasses.replace(s, payload_size=0)),
+    )
+
+
+_EDGE_SPECS = [
+    BinarySpec(elf_class=ElfClass.ELF32, data=ElfData.MSB,
+               machine=ElfMachine.PPC64, etype=ElfType.DYN,
+               soname="libbe.so.1", needed=("libc.so.6",),
+               version_requirements={"libc.so.6": ("GLIBC_2.3",)},
+               comment=("GCC: (GNU) 4.1.2",), payload_size=777),
+    BinarySpec(statically_linked=True, comment=("static",), payload_size=0),
+    BinarySpec(statically_linked=True, elf_class=ElfClass.ELF32,
+               payload_size=1234),
+    BinarySpec(etype=ElfType.DYN, soname="libempty.so.0", payload_size=0),
+]
+
+
+def _with_edges(test):
+    for spec in _EDGE_SPECS:
+        test = example(spec)(test)
+    return test
+
+
+@_with_edges
+@settings(max_examples=120, deadline=None)
+@given(layout_specs())
+def test_layout_size_matches_image(spec: BinarySpec):
+    layout = elf_layout(spec)
+    image = write_elf(spec)
+    assert layout.size == len(image)
+    assert LazyElfImage(spec).size == len(image)
+    text = parse_elf(image).section(".text")
+    assert (text.offset, text.size) == (layout.text_offset,
+                                        spec.payload_size)
+
+
+@_with_edges
+@settings(max_examples=120, deadline=None)
+@given(layout_specs())
+def test_skeleton_equals_image_outside_text(spec: BinarySpec):
+    image = write_elf(spec)
+    skeleton = LazyElfImage(spec).skeleton()
+    layout = elf_layout(spec)
+    start, end = layout.text_offset, layout.text_offset + layout.text_size
+    assert len(skeleton) == len(image)
+    assert skeleton[:start] == image[:start]
+    assert skeleton[end:] == image[end:]
+    assert skeleton[start:end] == bytes(spec.payload_size)
+    assert LazyElfImage(spec)() == image
+
+
+@_with_edges
+@settings(max_examples=120, deadline=None)
+@given(layout_specs())
+def test_skeleton_parses_like_image(spec: BinarySpec):
+    full = parse_elf(write_elf(spec))
+    skel = parse_elf(elf_layout(spec).skeleton())
+    for attr in ("header", "program_headers", "sections", "dynamic",
+                 "version_requirements", "version_definitions", "symbols",
+                 "comment", "size"):
+        assert getattr(skel, attr) == getattr(full, attr), attr
+

@@ -112,7 +112,6 @@ def append_fleet_history(payload: dict, history_path: str) -> dict:
         "eval_seconds": payload["eval_seconds"],
         "cells_per_second": payload["cells_per_second"],
         "cell_microseconds": payload["cell_microseconds"],
-        "steals": payload["steals"],
     }
     with open(history_path, "a", encoding="utf-8") as handle:
         handle.write(json.dumps(entry, sort_keys=True) + "\n")
@@ -239,14 +238,14 @@ def run_fleet(spec: str, out_path: str = "BENCH_fleet.json",
     binaries = _compile_binaries(sites, count)
 
     engine = EvaluationEngine()
-    with obs.capture() as collector:
+    # Timed under a collector, the way `feam matrix` runs.
+    with obs.capture():
         start = time.perf_counter()
         result = engine.evaluate_matrix(binaries, sites)
         elapsed = time.perf_counter() - start
 
     cells = len(result.cells)
     stats = engine.stats.snapshot()
-    gauges = collector.metrics.to_dict()["gauges"]
     degraded = sum(1 for cell in result.cells if cell.faulted)
     payload = {
         "kind": "fleet",
@@ -260,9 +259,6 @@ def run_fleet(spec: str, out_path: str = "BENCH_fleet.json",
         "cells_per_second": round(cells / elapsed, 1) if elapsed else None,
         "cell_microseconds": round(1e6 * elapsed / cells, 1)
         if cells else None,
-        "steals": int(gauges.get("engine.matrix.steals", 0)),
-        "worker_utilization": gauges.get(
-            "engine.matrix.worker_utilization"),
         "degraded_cells": degraded,
         "quarantined_sites": len(result.quarantined),
         "cache": {
@@ -283,8 +279,7 @@ def run_fleet(spec: str, out_path: str = "BENCH_fleet.json",
         record_ledger(payload, "fleet-bench", ledger_dir)
     print(f"fleet {spec}: {cells} cells in {elapsed:.1f}s "
           f"({payload['cells_per_second']} cells/s, "
-          f"{payload['cell_microseconds']} us/cell, "
-          f"{payload['steals']} steals)  -> {out_path}"
+          f"{payload['cell_microseconds']} us/cell)  -> {out_path}"
           + (f" (+ {history_path})" if history_path else ""))
     return payload
 

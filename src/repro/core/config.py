@@ -65,10 +65,6 @@ class FeamConfig:
     breaker_probe_after: int = 2
     #: Resilience: per-cell simulated-seconds retry budget.
     cell_deadline_seconds: float = 120.0
-    #: Matrix worker-pool size; 0 picks ``min(32, 4 x cpu_count)``.
-    matrix_workers: int = 0
-    #: Lock-striped segments per engine cache layer.
-    cache_shards: int = 16
     #: Telemetry: wide-event ring-buffer capacity (oldest records are
     #: evicted -- and counted -- once a run emits more than this).
     wide_ring_size: int = 65536
@@ -107,13 +103,12 @@ class FeamConfig:
         ``feam_seconds_per_dependency``, ``stack_assessment_seconds``,
         ``library_check_seconds``, ``resolution_seconds_per_library``,
         ``hello_retest_seconds``), the resilience keys (``retry_*``,
-        ``breaker_*``, ``cell_deadline_seconds``), the engine pool keys
-        (``matrix_workers``, ``cache_shards``), the telemetry keys
+        ``breaker_*``, ``cell_deadline_seconds``), the telemetry keys
         (``wide_ring_size``, ``sampling_head_n``,
         ``sampling_latency_slo_seconds``), the run-ledger keys
         (``ledger_dir``, ``ledger_max_runs``), the persistent-cache
         keys (``cache_dir``, ``cache_max_bytes``, ``persist``), and
-        ``mpiexec.<MPI type>`` overrides.
+        ``mpiexec.<MPI type>`` overrides.  Any other key is an error.
         """
         kwargs: dict = {}
         overrides: dict[str, str] = {}
@@ -133,8 +128,7 @@ class FeamConfig:
                 kwargs[key] = value
             elif key in ("hello_nprocs", "max_resolution_depth",
                          "retry_max_attempts", "breaker_failure_threshold",
-                         "breaker_probe_after", "matrix_workers",
-                         "cache_shards", "wide_ring_size",
+                         "breaker_probe_after", "wide_ring_size",
                          "sampling_head_n", "ledger_max_runs",
                          "cache_max_bytes"):
                 kwargs[key] = int(value)
@@ -183,8 +177,6 @@ class FeamConfig:
             f"breaker_failure_threshold = {self.breaker_failure_threshold}",
             f"breaker_probe_after = {self.breaker_probe_after}",
             f"cell_deadline_seconds = {self.cell_deadline_seconds}",
-            f"matrix_workers = {self.matrix_workers}",
-            f"cache_shards = {self.cache_shards}",
             f"wide_ring_size = {self.wide_ring_size}",
             f"sampling_head_n = {self.sampling_head_n}",
             f"sampling_latency_slo_seconds = "

@@ -94,11 +94,12 @@ class CellCacheInfo:
     description_hit: bool = False
     discovery_hit: bool = False
     evaluation_hit: bool = False
-    #: Which tier served the evaluation layer: ``"memory"`` (in-process
-    #: ShardedMap), ``"disk"`` (the persistent store), ``"journal"``
-    #: (resume restore), or None for a freshly computed cell.  Wide
-    #: events surface this as ``cache_tier``; :meth:`render` does not
-    #: (the verbose grid stays byte-stable across tiers by design).
+    #: Which tier served the evaluation layer: ``"memory"`` (the
+    #: engine's in-process dict), ``"disk"`` (the persistent store),
+    #: ``"journal"`` (resume restore), or None for a freshly computed
+    #: cell.  Wide events surface this as ``cache_tier``; :meth:`render`
+    #: does not (the verbose grid stays byte-stable across tiers by
+    #: design).
     tier: Optional[str] = None
 
     def render(self) -> str:

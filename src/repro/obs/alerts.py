@@ -127,7 +127,7 @@ def alert_rules(slo_rules: Sequence[slo_mod.SloRule],
 
 #: The default alert set for live metrics snapshots and wide-event
 #: replays.  Deliberately narrower than ``slo.DEFAULT_RULES``: wall
-#: clocks, worker utilization and sampling counters are host-dependent
+#: clocks and sampling counters are host-dependent
 #: (they would break the byte-identical-timeline guarantee), and the
 #: cache hit rate is a warm-run objective that a legitimate cold run
 #: undercuts.  What remains is deterministic per seed.

@@ -21,7 +21,7 @@ the engine-side flattener lives in
   ``ts`` (ISO-8601 UTC), ``kind`` (``matrix`` / ``chaos`` / ``bench``
   / ``fleet-bench`` / ``telemetry-gate`` / ``legacy-*``), ``schema``;
 * provenance -- ``seed``, ``sites_spec``, ``config_fingerprint``,
-  ``fault_profile``, worker/shard counts;
+  ``fault_profile``, ``binaries``;
 * results -- the ``rollup`` (cell/outcome/cache/retry counts,
   per-determinant outcome counts, sim/wall latency digests), the
   ``phases`` latency digests, and/or raw ``bench`` timings.

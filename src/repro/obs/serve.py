@@ -82,15 +82,6 @@ CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 _BREAKER_GAUGE = re.compile(r"^resilience\.breaker\.(?P<site>.+)\.state$")
 _BREAKER_WORDS = {0: "closed", 1: "half-open", 2: "open"}
 
-#: Per-shard cache gauges (``engine.cache.<layer>.shard.<i>.hit_rate``)
-#: are folded into ONE labeled metric family on export.  Exposing each
-#: shard as its own metric name would mint ``layers x shards`` series
-#: names (48 with the default 16-shard config) that no dashboard can
-#: aggregate; ``{layer=...,shard=...}`` labels keep the cardinality in
-#: label space where PromQL ``sum by (layer)`` can fold it.
-_SHARD_GAUGE = re.compile(
-    r"^engine\.cache\.(?P<layer>[^.]+)\.shard\.(?P<shard>\d+)\.hit_rate$")
-
 
 def breaker_states(registry) -> dict:
     """Per-site circuit-breaker state words from breaker gauges.
@@ -159,27 +150,11 @@ def render_prometheus(registry, namespace: str = "feam",
         lines.append(f"# TYPE {metric} counter")
         lines.append(f"{metric}{plain} {_num(counter.value)}")
 
-    shard_samples: list[tuple[str, int, float]] = []
     for name, gauge in sorted(gauges.items()):
-        match = _SHARD_GAUGE.match(name)
-        if match is not None:
-            shard_samples.append((match.group("layer"),
-                                  int(match.group("shard")), gauge.value))
-            continue
         metric = _metric_name(name, namespace)
         lines.append(f"# HELP {metric} FEAM gauge {name}")
         lines.append(f"# TYPE {metric} gauge")
         lines.append(f"{metric}{plain} {_num(gauge.value)}")
-
-    if shard_samples:
-        metric = _metric_name("engine.cache.shard.hit_rate", namespace)
-        lines.append(f"# HELP {metric} FEAM per-shard cache hit rate "
-                     f"(labels: layer, shard)")
-        lines.append(f"# TYPE {metric} gauge")
-        for layer, shard, value in sorted(shard_samples):
-            merged = dict(labels or {})
-            merged.update({"layer": layer, "shard": str(shard)})
-            lines.append(f"{metric}{_label_str(merged)} {_num(value)}")
 
     for name, histogram in sorted(histograms.items()):
         metric = _metric_name(name, namespace)

@@ -7,8 +7,8 @@ FEAM's scheduler-visible work, accrued from the
 :class:`~repro.core.config.FeamConfig` timing model by the
 instrumentation that owns the span).  Spans nest through a per-thread
 stack, so instrumented code never passes span objects around; code
-that crosses a thread boundary (the matrix planner's per-site workers)
-passes ``parent=`` explicitly.
+that hands work to another thread passes ``parent=`` explicitly (the
+new thread's stack starts empty).
 
 Two tracer implementations share the interface:
 

@@ -7,7 +7,7 @@ need the tree.  A *wide event* collapses everything the engine knows
 about one finished cell into a single flat record: identity (site,
 binary, content group), verdict (outcome word, per-determinant
 verdicts), provenance (cache layers hit, retries, fault kind, breaker
-state, resume/steal/worker facts), and both clocks (simulated FEAM
+state, whether the cell was journal-restored), and both clocks (simulated FEAM
 seconds and real wall seconds).  Wide events are the always-on layer;
 full span trees are kept only for the cells the tail sampler elects
 (:mod:`repro.obs.sampling`).
@@ -41,13 +41,16 @@ from repro.util import jsonl as _jsonl
 
 #: Version of the wide-event record layout.  Bump when a field changes
 #: meaning or disappears; adding fields is backwards-compatible.
-SCHEMA_VERSION = 1
+#: Schema 2 dropped the thread-pool scheduling fields (``worker`` and
+#: its per-worker work counter); readers still accept schema-1 records,
+#: which merely carry them.
+SCHEMA_VERSION = 2
 
-#: Fields every schema-1 record carries (pinned by tests so producers
-#: and consumers cannot silently drift apart).
+#: Fields every record carries, schema 1 and 2 alike (pinned by tests
+#: so producers and consumers cannot silently drift apart).
 CORE_FIELDS = (
     "schema", "site", "binary", "outcome", "ready", "faulted",
-    "sim_seconds", "wall_seconds", "worker",
+    "sim_seconds", "wall_seconds",
 )
 
 

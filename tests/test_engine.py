@@ -153,15 +153,3 @@ class TestMatrixShape:
         result = engine.evaluate_matrix(
             [("tuple-app", compiled_app.image)], [make_site("mt-a")])
         assert result.cell("tuple-app", "mt-a") is not None
-
-    def test_serial_and_parallel_agree(self, make_site, compiled_app):
-        sites = [make_site("sp-a"), make_site("sp-b")]
-        binaries = [EngineBinary("e-app", compiled_app.image)]
-        serial = EvaluationEngine(max_workers=1).evaluate_matrix(
-            binaries, sites)
-        parallel = EvaluationEngine(max_workers=4).evaluate_matrix(
-            binaries, sites)
-        assert [(c.binary_id, c.site_name, c.ready)
-                for c in serial.cells] == \
-               [(c.binary_id, c.site_name, c.ready)
-                for c in parallel.cells]

@@ -278,7 +278,7 @@ class TestChaosDeterminism:
         plan = FaultPlan.profile("flaky", seed=7)
         plan.arm(sites)
         path = tmp_path / f"{tag}.jsonl"
-        engine = EvaluationEngine(max_workers=1)
+        engine = EvaluationEngine()
         try:
             with faults.injecting(plan):
                 with MatrixJournal(str(path)) as journal:

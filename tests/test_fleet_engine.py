@@ -1,10 +1,17 @@
-"""Fleet-scale engine behaviour: sharding, stealing, content sharing.
+"""Fleet-scale engine behaviour: content sharing, determinism, oracles.
 
-The PR that introduced the work-stealing pool and the lock-striped
-caches must not change *what* the engine computes -- only how fast.
-The anchor is a golden file rendered by the pre-refactor engine
-(``tests/golden/matrix_paper_5x4.txt``): the refactored engine must
-reproduce it byte-for-byte, cache counters included.
+The engine's caches must change only *how fast* a matrix is evaluated,
+never *what* it computes.  Three anchors pin that down:
+
+* a golden file rendered by an earlier engine
+  (``tests/golden/matrix_paper_5x4.txt``), reproduced byte-for-byte,
+  cache counters included;
+* determinism: two fresh engines over the same inputs agree on every
+  cell's verdict *and* cache provenance, and on every wide event but
+  its wall-clock field;
+* a differential oracle: a fresh engine per site (nothing shared)
+  agrees cell for cell with the shared pass, its memory-warm rerun and
+  a fresh engine served from the persistent store.
 """
 
 from pathlib import Path
@@ -12,12 +19,9 @@ from pathlib import Path
 import pytest
 
 from repro.core.config import FeamConfig
-from repro.core.engine import (
-    EngineBinary,
-    EvaluationEngine,
-    default_matrix_workers,
-)
-from repro.core.sharding import HitMissCounter, ShardedMap
+from repro.core.engine import EngineBinary, EvaluationEngine
+from repro.core.persist import PersistentStore
+from repro.obs.wide import WideEventSink
 from repro.sites.catalog import build_paper_sites
 from repro.sites.generator import resolve_sites
 from repro.toolchain.compilers import Language
@@ -25,8 +29,7 @@ from repro.toolchain.compilers import Language
 _GOLDEN = Path(__file__).parent / "golden" / "matrix_paper_5x4.txt"
 
 
-def _paper_inputs(seed=20130101, count=4):
-    sites = build_paper_sites(seed, cached=False)
+def _compile(sites, count):
     binaries = []
     for index in range(count):
         site = sites[index % len(sites)]
@@ -34,73 +37,61 @@ def _paper_inputs(seed=20130101, count=4):
         name = f"app-{site.name}-{stack.spec.slug}-{index}"
         linked = site.compile_mpi_program(name, Language.FORTRAN, stack)
         binaries.append(EngineBinary(binary_id=name, image=linked.image))
-    return sites, binaries
+    return binaries
+
+
+def _build_sites(spec):
+    """Fresh site objects (sites are stateful simulated machines)."""
+    if spec == "paper":
+        return build_paper_sites(20130101, cached=False)
+    return resolve_sites(spec)
+
+
+def _paper_inputs(seed=20130101, count=4):
+    sites = build_paper_sites(seed, cached=False)
+    return sites, _compile(sites, count)
 
 
 def _fleet_inputs(spec="fleet:n=10,seed=4", count=2):
     sites = resolve_sites(spec)
-    binaries = []
-    for index in range(count):
-        site = sites[index]
-        stack = site.stacks[index % len(site.stacks)]
-        name = f"app-{site.name}-{stack.spec.slug}-{index}"
-        linked = site.compile_mpi_program(name, Language.FORTRAN, stack)
-        binaries.append(EngineBinary(binary_id=name, image=linked.image))
-    return sites, binaries
+    return sites, _compile(sites, count)
+
+
+def _verdicts(result):
+    """Per cell: the grid word and every determinant outcome."""
+    return [(c.binary_id, c.site_name, c.outcome_word,
+             tuple((d.key, d.outcome.value)
+                   for d in c.report.prediction.determinants))
+            for c in result.cells]
 
 
 class TestGoldenMatrix:
-    """Differential gate against the pre-refactor engine's output."""
+    """Differential gate against an earlier engine's output."""
 
     def test_paper_matrix_renders_byte_identically(self):
         sites, binaries = _paper_inputs()
-        engine = EvaluationEngine(max_workers=1)
-        result = engine.evaluate_matrix(binaries, sites)
+        result = EvaluationEngine().evaluate_matrix(binaries, sites)
         assert result.render(verbose=False) == _GOLDEN.read_text()
 
-    def test_parallel_grid_matches_serial(self):
-        sites, binaries = _paper_inputs()
-        serial = EvaluationEngine(max_workers=1).evaluate_matrix(
-            binaries, sites)
-        parallel = EvaluationEngine(max_workers=8).evaluate_matrix(
-            binaries, sites)
-        assert ([(c.binary_id, c.site_name, c.outcome_word)
-                 for c in serial.cells]
-                == [(c.binary_id, c.site_name, c.outcome_word)
-                    for c in parallel.cells])
 
+class TestRemovedPoolKnobs:
+    @pytest.mark.parametrize("key", ["matrix_workers", "cache_shards"])
+    def test_pool_config_keys_are_unknown(self, key):
+        with pytest.raises(ValueError, match="unknown key"):
+            FeamConfig.parse(f"{key} = 2\n")
 
-class TestWorkerPool:
-    def test_default_pool_is_bounded(self):
-        assert 4 <= default_matrix_workers() <= 32
-
-    def test_config_drives_the_pool_size(self):
-        # matrix_workers from the config file is the default; an
-        # explicit max_workers constructor argument still wins.
-        config = FeamConfig.parse("matrix_workers = 2\n")
-        assert config.matrix_workers == 2
-        engine = EvaluationEngine(config=config)
-        assert engine.max_workers is None
-        sites, binaries = _fleet_inputs()
-        result = engine.evaluate_matrix(binaries, sites)
-        assert len(result.cells) == len(binaries) * len(sites)
-
-    def test_fleet_grid_deterministic_across_worker_counts(self):
-        sites, binaries = _fleet_inputs()
-        grids = []
-        for workers in (1, 4):
-            result = EvaluationEngine(
-                max_workers=workers).evaluate_matrix(binaries, sites)
-            grids.append([(c.binary_id, c.site_name, c.outcome_word)
-                          for c in result.cells])
-        assert grids[0] == grids[1]
+    def test_rendered_config_names_no_pool_key(self):
+        text = FeamConfig().render()
+        assert "matrix_workers" not in text
+        assert "cache_shards" not in text
+        assert FeamConfig.parse(text) == FeamConfig()
 
 
 class TestContentSharing:
     def test_discovery_runs_once_per_content_group(self):
         sites, binaries = _fleet_inputs()
         groups = {s.content_key for s in sites}
-        engine = EvaluationEngine(max_workers=1)
+        engine = EvaluationEngine()
         engine.evaluate_matrix(binaries, sites)
         stats = engine.stats
         assert stats.discovery_misses == len(groups)
@@ -110,7 +101,7 @@ class TestContentSharing:
 
     def test_cached_cells_are_rehosted(self):
         sites, binaries = _fleet_inputs()
-        engine = EvaluationEngine(max_workers=1)
+        engine = EvaluationEngine()
         result = engine.evaluate_matrix(binaries, sites)
         for cell in result.cells:
             assert cell.report.environment.hostname == cell.site_name
@@ -118,7 +109,7 @@ class TestContentSharing:
     def test_refresh_divergence_drops_the_content_key(self):
         sites, _ = _fleet_inputs()
         site = sites[0]
-        engine = EvaluationEngine(max_workers=1)
+        engine = EvaluationEngine()
         engine.fingerprint_for(site)
         # An unchanged re-discovery keeps the site in its group ...
         assert engine.refresh_site(site) is False
@@ -130,59 +121,77 @@ class TestContentSharing:
         assert site.content_key is None
 
 
-class TestShardedMap:
-    def test_lookup_counts_hits_store_counts_misses(self):
-        cache = ShardedMap(4)
-        assert cache.lookup("a") is None
-        assert cache.hits == 0 and cache.misses == 0  # absent != miss
-        cache.store("a", 1)
-        assert cache.misses == 1
-        assert cache.lookup("a") == 1
-        assert cache.hits == 1
+class TestDeterminism:
+    """Two fresh default engines must agree on everything but wall time.
 
-    def test_peek_and_put_do_not_count(self):
-        cache = ShardedMap(4)
-        cache.put("a", 1)
-        assert cache.peek("a") == 1
-        assert cache.peek("b") is None
-        assert cache.hits == 0 and cache.misses == 0
+    Which site describes a binary first, and which member of a content
+    group discovers for the rest, is recorded per cell as cache
+    provenance; it must follow from the inputs alone."""
 
-    def test_get_or_create_creates_once(self):
-        cache = ShardedMap(2)
-        calls = []
-        for _ in range(3):
-            cache.get_or_create("k", lambda: calls.append(1) or "v")
-        assert calls == [1]
+    SPEC = "fleet:n=24,seed=11"
 
-    def test_drop_if_filters_by_key(self):
-        cache = ShardedMap(8)
-        for i in range(20):
-            cache.put(("site-a" if i % 2 else "site-b", i), i)
-        assert cache.drop_if(lambda key: key[0] == "site-a") == 10
-        assert len(cache) == 10
+    def _run(self, binaries):
+        sink = WideEventSink()
+        result = EvaluationEngine().evaluate_matrix(
+            binaries, _build_sites(self.SPEC), wide_sink=sink)
+        cells = [(c.binary_id, c.site_name, c.outcome_word,
+                  c.report.cache.description_hit,
+                  c.report.cache.discovery_hit,
+                  c.report.cache.evaluation_hit,
+                  c.report.cache.tier)
+                 for c in result.cells]
+        events = [{k: v for k, v in event.items() if k != "wall_seconds"}
+                  for event in sink.events()]
+        return cells, events, result.stats
 
-    def test_shard_stats_cover_all_lookups(self):
-        cache = ShardedMap(4)
-        for i in range(16):
-            cache.store(i, i)
-            cache.lookup(i)
-        totals = cache.shard_stats()
-        assert sum(h for h, _, _ in totals) == 16
-        assert sum(m for _, m, _ in totals) == 16
-        assert sum(n for _, _, n in totals) == 16
-
-    def test_single_shard_still_works(self):
-        cache = ShardedMap(1)
-        cache.store("x", 1)
-        assert cache.lookup("x") == 1
+    def test_two_fresh_engines_agree_cell_for_cell(self):
+        binaries = _compile(_build_sites(self.SPEC), 3)
+        first_cells, first_events, first_stats = self._run(binaries)
+        second_cells, second_events, second_stats = self._run(binaries)
+        assert first_cells == second_cells
+        assert first_events == second_events
+        assert first_stats == second_stats
+        assert len(first_events) == len(first_cells)
+        # Provenance is not trivially uniform: the fleet mixes cold
+        # first members with warm followers.
+        assert {cell[5] for cell in first_cells} == {True, False}
 
 
-class TestHitMissCounter:
-    def test_counts_accumulate(self):
-        counter = HitMissCounter(stripes=4)
-        for name in ("a", "b", "c"):
-            counter.hit(name)
-            counter.miss(name)
-            counter.miss(name)
-        assert counter.hits == 3
-        assert counter.misses == 6
+class TestDifferentialOracle:
+    """Sharing caches across sites must never change a verdict."""
+
+    @pytest.mark.parametrize("spec", ["paper", "fleet:n=12,seed=4"])
+    def test_shared_warm_and_disk_passes_match_isolated(self, spec,
+                                                        tmp_path):
+        # Four binaries: on the paper sites the fourth (MVAPICH2) is
+        # the one that is not ready everywhere, so verdicts vary.
+        binaries = _compile(_build_sites(spec), 4)
+
+        # The oracle: one fresh engine per site, nothing shared.
+        oracle = {}
+        for site in _build_sites(spec):
+            result = EvaluationEngine().evaluate_matrix(binaries, [site])
+            oracle.update((v[:2], v) for v in _verdicts(result))
+        assert len({v[2:] for v in oracle.values()}) > 1
+
+        def matches_oracle(result):
+            verdicts = _verdicts(result)
+            return verdicts == [oracle[v[:2]] for v in verdicts]
+
+        store = PersistentStore(str(tmp_path / "cache"), scope=spec)
+        engine = EvaluationEngine(persist=store)
+        sites = _build_sites(spec)
+        shared = engine.evaluate_matrix(binaries, sites)
+        warm = engine.evaluate_matrix(binaries, sites)
+        engine.close()
+        assert matches_oracle(shared)
+        assert matches_oracle(warm)
+        assert all(c.report.cache.tier == "memory" for c in warm.cells)
+
+        store = PersistentStore(str(tmp_path / "cache"), scope=spec)
+        disk_engine = EvaluationEngine(persist=store)
+        disk = disk_engine.evaluate_matrix(binaries, _build_sites(spec))
+        disk_engine.close()
+        assert matches_oracle(disk)
+        assert disk.stats.evaluation_misses == 0
+        assert any(c.report.cache.tier == "disk" for c in disk.cells)

@@ -154,6 +154,31 @@ class TestRunsImport:
         assert "imported 0 run(s)" in capsys.readouterr().out
         assert len(RunLedger(ledger_dir()).runs()) == 2
 
+    def test_legacy_fleet_lines_with_steals_import_once(self, tmp_path,
+                                                        capsys):
+        # Fleet lines written while the matrix ran on a thread pool
+        # carry a ``steals`` count that current lines no longer have;
+        # both shapes import, and a re-import adds nothing.
+        history = tmp_path / "history.jsonl"
+        lines = [
+            {"ts": "2026-08-08T14:17:25Z", "kind": "fleet",
+             "spec": "fleet:n=1000,seed=7", "cells": 4000,
+             "eval_seconds": 22.4, "steals": 11},
+            {"ts": "2026-10-18T00:00:00Z", "kind": "fleet",
+             "spec": "fleet:n=1000,seed=7", "cells": 4000,
+             "eval_seconds": 8.1},
+        ]
+        history.write_text("".join(json.dumps(line) + "\n"
+                                   for line in lines))
+        assert feam_main(["runs", "import", str(history)]) == EXIT_OK
+        assert "imported 2 run(s)" in capsys.readouterr().out
+        runs = RunLedger(ledger_dir()).runs()
+        assert runs[0]["bench"]["steals"] == 11
+        assert "steals" not in runs[1]["bench"]
+        assert feam_main(["runs", "import", str(history)]) == EXIT_OK
+        assert "imported 0 run(s)" in capsys.readouterr().out
+        assert len(RunLedger(ledger_dir()).runs()) == 2
+
     def test_imported_runs_feed_drift(self, tmp_path, capsys):
         history = tmp_path / "history.jsonl"
         history.write_text("".join(

@@ -359,7 +359,7 @@ class TestServeDuringMatrix:
         from repro.core.engine import EvaluationEngine
 
         sites, binaries = matrix_inputs
-        engine = EvaluationEngine(max_workers=3)
+        engine = EvaluationEngine()
         statuses = []
         with obs.capture() as collector:
             with TelemetryServer(collector, port=0) as server:

@@ -28,7 +28,6 @@ def _record(index=0, **extra):
         "site": f"gen-{index:04d}", "binary": "app-0",
         "outcome": "ready", "ready": True, "faulted": False,
         "sim_seconds": 35.2, "wall_seconds": 0.004,
-        "worker": "worker-0",
     }
     record.update(extra)
     return record
@@ -169,5 +168,13 @@ class TestSchemaContract:
         # and update every consumer before touching this tuple.
         assert CORE_FIELDS == (
             "schema", "site", "binary", "outcome", "ready", "faulted",
-            "sim_seconds", "wall_seconds", "worker")
-        assert SCHEMA_VERSION == 1
+            "sim_seconds", "wall_seconds")
+        assert SCHEMA_VERSION == 2
+
+    def test_schema_1_records_still_read(self):
+        # Schema 1 carried the thread-pool fields ``worker`` and
+        # ``steals``; older JSONL files must stay replayable.
+        legacy = {**_record(0), "schema": 1, "worker": "worker-3",
+                  "steals": 2}
+        assert parse_jsonl(json.dumps(legacy)) == [legacy]
+        assert set(CORE_FIELDS) <= set(legacy)

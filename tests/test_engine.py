@@ -1,5 +1,7 @@
 """The batch evaluation engine: caching, invalidation, the matrix."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro.core import Feam
@@ -153,3 +155,17 @@ class TestMatrixShape:
         result = engine.evaluate_matrix(
             [("tuple-app", compiled_app.image)], [make_site("mt-a")])
         assert result.cell("tuple-app", "mt-a") is not None
+
+    def test_serial_and_parallel_agree(self, make_site, compiled_app):
+        sites = [make_site("sp-a"), make_site("sp-b")]
+        binaries = [EngineBinary("e-app", compiled_app.image)]
+        serial = EvaluationEngine().evaluate_matrix(binaries, sites)
+        # One fresh engine per site, both running at once.
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            parallel = list(pool.map(
+                lambda site: EvaluationEngine().evaluate_matrix(
+                    binaries, [site]), sites))
+        assert [(c.binary_id, c.site_name, c.ready)
+                for c in serial.cells] == \
+               [(c.binary_id, c.site_name, c.ready)
+                for result in parallel for c in result.cells]

@@ -9,11 +9,14 @@ never *what* it computes.  Three anchors pin that down:
 * determinism: two fresh engines over the same inputs agree on every
   cell's verdict *and* cache provenance, and on every wide event but
   its wall-clock field;
+* independence: fresh engines evaluating parts of the site list on
+  parallel threads reassemble to the serial engine's grid;
 * a differential oracle: a fresh engine per site (nothing shared)
   agrees cell for cell with the shared pass, its memory-warm rerun and
   a fresh engine served from the persistent store.
 """
 
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -65,6 +68,26 @@ def _verdicts(result):
             for c in result.cells]
 
 
+def _grid(result):
+    return [(c.binary_id, c.site_name, c.outcome_word)
+            for c in result.cells]
+
+
+def _grid_from_independent_engines(binaries, sites, workers):
+    """Split *sites* into *workers* chunks, evaluate each chunk with its
+    own fresh engine on its own thread, and reassemble the grid in the
+    serial engine's binary-major order."""
+    chunks = [sites[i::workers] for i in range(workers)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        results = list(pool.map(
+            lambda chunk: EvaluationEngine().evaluate_matrix(
+                binaries, chunk), chunks))
+    words = {(c.binary_id, c.site_name): c.outcome_word
+             for result in results for c in result.cells}
+    return [(b.binary_id, s.name, words[(b.binary_id, s.name)])
+            for b in binaries for s in sites]
+
+
 class TestGoldenMatrix:
     """Differential gate against an earlier engine's output."""
 
@@ -72,6 +95,15 @@ class TestGoldenMatrix:
         sites, binaries = _paper_inputs()
         result = EvaluationEngine().evaluate_matrix(binaries, sites)
         assert result.render(verbose=False) == _GOLDEN.read_text()
+
+    def test_parallel_grid_matches_serial(self):
+        # The engine is one serial loop; engines share no hidden state,
+        # so one per site on parallel threads gives the same grid.
+        sites, binaries = _paper_inputs()
+        serial = EvaluationEngine().evaluate_matrix(binaries, sites)
+        assert (_grid(serial)
+                == _grid_from_independent_engines(binaries, sites,
+                                                  len(sites)))
 
 
 class TestRemovedPoolKnobs:
@@ -85,6 +117,20 @@ class TestRemovedPoolKnobs:
         assert "matrix_workers" not in text
         assert "cache_shards" not in text
         assert FeamConfig.parse(text) == FeamConfig()
+
+
+class TestWorkerPool:
+    """Splitting a fleet's sites across independent engines (the only
+    way left to spread a matrix over workers) never changes a verdict,
+    even though it changes which site leads each content group."""
+
+    def test_fleet_grid_deterministic_across_worker_counts(self):
+        sites, binaries = _fleet_inputs()
+        grids = [_grid_from_independent_engines(binaries, sites, workers)
+                 for workers in (1, 4)]
+        assert grids[0] == grids[1]
+        assert grids[0] == _grid(
+            EvaluationEngine().evaluate_matrix(binaries, sites))
 
 
 class TestContentSharing:
